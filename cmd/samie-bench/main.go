@@ -18,8 +18,6 @@
 //	samie-bench -prune -prune-max-bytes 1000000000      # bound the disk cache
 //	samie-bench -server http://host:8344 -fig 5 -fig 6  # remote mode via samie-serve
 //	samie-bench -server http://a:8344,http://b:8344     # remote mode over a replica set (pkg/cluster)
-//	samie-bench -profile             # measure hot-path throughput
-//	samie-bench -profile -baseline BENCH_hotpath.json   # CI regression gate
 //
 // Results are spilled to an on-disk cache (content-addressed by the
 // canonical RunSpec key, default <user cache dir>/samielsq, override
@@ -61,14 +59,6 @@ func main() {
 	prune := flag.Bool("prune", false, "prune the on-disk run cache per -prune-max-* and exit")
 	pruneMaxBytes := flag.Int64("prune-max-bytes", 0, "with -prune: keep at most this many artifact bytes (0 = unbounded)")
 	pruneMaxAge := flag.Duration("prune-max-age", 0, "with -prune: drop artifacts older than this (0 = keep forever)")
-	profile := flag.Bool("profile", false, "measure hot-path throughput (insts/sec per model) and exit")
-	profileInsts := flag.Uint64("profile-insts", 50_000, "measured instructions per profile case")
-	profileReps := flag.Int("profile-reps", 3, "repetitions per profile case (best wins)")
-	profileLabel := flag.String("profile-label", "local", "label for the recorded profile session")
-	profileLegacy := flag.Bool("profile-legacy-walk", false, "profile on the pre-wakeup LegacyIssueWalk issue engine (before/after trajectory entries; skips the figure1 sweep)")
-	benchOut := flag.String("bench-out", "", "append the profile session to this BENCH_*.json file")
-	baseline := flag.String("baseline", "", "compare the profile session against this BENCH_*.json (exit 1 on regression)")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional throughput regression vs -baseline")
 	traceOut := flag.String("trace-out", "", "write this invocation's span trace as Chrome trace-event JSON here (open in Perfetto); for the fleet-wide sweep view use samie-cluster -trace-out")
 	timelineOut := flag.String("timeline-out", "", "write every locally simulated run's interval timeline as NDJSON here (one meta line + one sample line per interval, per run)")
 	flag.Parse()
@@ -79,31 +69,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		obs.Default().SetEnabled(true)
-	}
-	if *profile {
-		entry := runProfile(*profileInsts, *profileReps, *profileLabel, *profileLegacy)
-		if *benchOut != "" {
-			if err := writeBenchOut(*benchOut, entry); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("profile session appended to %s\n", *benchOut)
-		}
-		if *baseline != "" {
-			failures, err := compareBaseline(entry, *baseline, *tolerance)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if len(failures) > 0 {
-				for _, f := range failures {
-					fmt.Fprintln(os.Stderr, "REGRESSION:", f)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("all cases within %.0f%% of baseline\n", *tolerance*100)
-		}
-		return
 	}
 	// Resolve the disk cache directory once; -prune and the local
 	// batch share the -cachedir semantics.

@@ -7,10 +7,6 @@
 //	samie-lint -json ./...
 //	samie-lint -analyzers mapiter,detpure ./internal/experiments
 //
-// As a vet tool (per-package, driven by the go command):
-//
-//	go vet -vettool=$(which samie-lint) ./...
-//
 // Exit codes (the pre-commit contract): 0 — clean; 1 — one or more
 // findings; 2 — usage or load error (a finding was *not* proven
 // absent). -json writes one {"file","line","column","analyzer",
@@ -28,21 +24,6 @@ import (
 )
 
 func main() {
-	// The go command probes vet tools with -V=full (version stamp) and
-	// -flags (supported flags, as a JSON array), then invokes them with
-	// a *.cfg file; all three paths bypass normal flag parsing.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("samie-lint version 1 (analyzers: %s)\n", strings.Join(analyzerNames(), ","))
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) >= 2 && strings.HasSuffix(os.Args[len(os.Args)-1], ".cfg") {
-		os.Exit(runVetTool(os.Args[len(os.Args)-1]))
-	}
-
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
@@ -105,12 +86,4 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func analyzerNames() []string {
-	var out []string
-	for _, a := range lint.All() {
-		out = append(out, a.Name)
-	}
-	return out
 }

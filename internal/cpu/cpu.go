@@ -60,15 +60,6 @@ type Config struct {
 	// sit unplaced in the LSQ before the §3.3 deadlock-avoidance flush
 	// fires.
 	DeadlockPatience int
-
-	// LegacyIssueWalk selects the pre-wakeup issue engine: the
-	// per-cycle compacting walk over the age-ordered active list,
-	// O(in-flight) per cycle. The default (false) is the event-driven
-	// wakeup scheduler (see sched.go), which produces bit-identical
-	// results while touching only O(issue width + newly woken)
-	// instructions per cycle; the walk is kept for differential
-	// testing (TestSchedulerDifferential).
-	LegacyIssueWalk bool
 }
 
 // PaperConfig returns the Table 2 configuration.
@@ -172,7 +163,7 @@ type dynInst struct {
 	performed   bool
 	addrUnknown bool // store dispatched, address not yet computed
 
-	// Wakeup-scheduler links (nil/0 under LegacyIssueWalk). waiterHead
+	// Wakeup-scheduler links (nil/0 under the reference walk). waiterHead
 	// anchors the intrusive list of consumers parked on this
 	// instruction as a producer (chained through their waitNext);
 	// wheelNext/wakeCycle place this instruction in a timing-wheel
@@ -382,11 +373,12 @@ type CPU struct {
 	// the writeback/issue walk skips completed instructions piling up
 	// behind a blocked head. Compaction preserves age order, keeping
 	// issue priority identical to a full ROB walk. Only maintained
-	// under LegacyIssueWalk.
+	// by the reference walk (ev == nil).
 	active []*dynInst
 
-	// ev is the event-driven wakeup scheduler (sched.go); nil under
-	// LegacyIssueWalk.
+	// ev is the event-driven wakeup scheduler (sched.go). Tests set it
+	// to nil before the first step to run the reference O(in-flight)
+	// issue walk (writebackAndIssue) that the scheduler must match.
 	ev *eventSched
 
 	// sampler is the optional interval telemetry collector
@@ -444,9 +436,7 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 		replayQ:   newInstRing(4),
 		freeInsts: make([]*dynInst, 0, cfg.ROBSize+cfg.FetchQueue),
 		active:    make([]*dynInst, 0, cfg.ROBSize),
-	}
-	if !cfg.LegacyIssueWalk {
-		c.ev = newEventSched(cfg.ROBSize)
+		ev:        newEventSched(cfg.ROBSize),
 	}
 	return c
 }

@@ -49,9 +49,10 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 
 func benchSteps(b *testing.B, bench string, legacy bool) {
 	p := trace.MustPersonality(bench)
-	cfg := PaperConfig()
-	cfg.LegacyIssueWalk = legacy
-	c := New(cfg, trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
+	c := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
+	if legacy {
+		useLegacyWalk(c)
+	}
 	c.Run(20000)
 	b.ReportAllocs()
 	b.ResetTimer()

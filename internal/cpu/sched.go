@@ -6,9 +6,9 @@ import (
 	"samielsq/internal/isa"
 )
 
-// Event-driven wakeup scheduler (the default issue engine; the legacy
-// per-cycle active-list walk remains behind Config.LegacyIssueWalk for
-// differential testing).
+// Event-driven wakeup scheduler (the issue engine; the legacy
+// per-cycle active-list walk remains as the reference that tests
+// compare it against).
 //
 // The legacy walk visits every in-flight instruction every cycle —
 // O(in-flight) switch dispatches, operand checks and LSQ re-probes per

@@ -18,6 +18,11 @@ var shortDifferentialSet = []string{
 	"mcf", "gzip", "swim", "art", "pointer-chaser", "store-burst",
 }
 
+// useLegacyWalk switches c, before its first step, from the wakeup
+// scheduler to the legacy O(in-flight) active-list walk, the reference
+// implementation the scheduler must reproduce.
+func useLegacyWalk(c *CPU) { c.ev = nil }
+
 // TestSchedulerDifferential runs every personality under both issue
 // engines — the legacy O(in-flight) active-list walk and the
 // event-driven wakeup scheduler — and requires identical per-run
@@ -46,10 +51,11 @@ func TestSchedulerDifferential(t *testing.T) {
 				t.Parallel()
 				p := trace.MustPersonality(bench)
 				run := func(legacy bool) (Result, energy.Meter, *FlightRecorder) {
-					cfg := PaperConfig()
-					cfg.LegacyIssueWalk = legacy
 					m := energy.NewMeter()
-					c := New(cfg, trace.NewGenerator(p), mk(m), nil, nil, nil, m)
+					c := New(PaperConfig(), trace.NewGenerator(p), mk(m), nil, nil, nil, m)
+					if legacy {
+						useLegacyWalk(c)
+					}
 					fr := NewFlightRecorder(16)
 					c.SetFlightRecorder(fr)
 					return c.Run(insts), *m, fr
@@ -131,9 +137,10 @@ func TestWakeupObservesRecycledProducer(t *testing.T) {
 
 	// The end-to-end run must match the legacy walk exactly.
 	run := func(legacy bool) Result {
-		cfg := PaperConfig()
-		cfg.LegacyIssueWalk = legacy
-		cc := New(cfg, isa.NewSliceStream(insts), lsq.NewUnbounded(), nil, nil, nil, nil)
+		cc := New(PaperConfig(), isa.NewSliceStream(insts), lsq.NewUnbounded(), nil, nil, nil, nil)
+		if legacy {
+			useLegacyWalk(cc)
+		}
 		return cc.Run(uint64(len(insts)))
 	}
 	if a, b := run(false), run(true); a != b {

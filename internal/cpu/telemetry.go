@@ -99,8 +99,8 @@ func (c *CPU) recordSample() {
 
 // schedStats introspects the event-driven issue scheduler: total
 // waiter-list depth (instructions parked on a producer), timing-wheel
-// load, and attention-bitmap population. All zero under
-// LegacyIssueWalk, which keeps no scheduler state.
+// load, and attention-bitmap population. All zero under the
+// reference walk, which keeps no scheduler state.
 func (c *CPU) schedStats() (waiters, wheel, attn int) {
 	if c.ev == nil {
 		return 0, 0, 0

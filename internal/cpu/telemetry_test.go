@@ -178,9 +178,10 @@ func TestFlightRecorderLimitCycles(t *testing.T) {
 func TestForcedDivergenceNamesFirstCycle(t *testing.T) {
 	p := trace.MustPersonality("mcf")
 	run := func(model lsq.Model, legacy bool) *FlightRecorder {
-		cfg := PaperConfig()
-		cfg.LegacyIssueWalk = legacy
-		c := New(cfg, trace.NewGenerator(p), model, nil, nil, nil, nil)
+		c := New(PaperConfig(), trace.NewGenerator(p), model, nil, nil, nil, nil)
+		if legacy {
+			useLegacyWalk(c)
+		}
 		fr := NewFlightRecorder(8)
 		c.SetFlightRecorder(fr)
 		c.Run(5_000)

@@ -48,24 +48,55 @@ func TestParseSpecDefaults(t *testing.T) {
 	}
 }
 
+// badSpecs are fault specs ParseSpec must reject.
+var badSpecs = []string{
+	"err=1.5",           // probability out of range
+	"err=-0.1",          // negative
+	"err=x",             // not a number
+	"err=NaN",           // NaN fails every range comparison
+	"trunc=nan,seed=1",  // likewise, case-insensitively
+	"lat=5ms:1ms",       // max < min
+	"lat=-5ms",          // negative duration
+	"lat=abc",           // not a duration
+	"seed=abc",          // not an integer
+	"bogus=1",           // unknown key
+	"err",               // not key=value
+	"err=0.6,reset=0.6", // terminal kinds sum > 1
+	"err=0.5,throttle=0.6",
+}
+
 func TestParseSpecErrors(t *testing.T) {
-	for _, bad := range []string{
-		"err=1.5",           // probability out of range
-		"err=-0.1",          // negative
-		"err=x",             // not a number
-		"lat=5ms:1ms",       // max < min
-		"lat=-5ms",          // negative duration
-		"lat=abc",           // not a duration
-		"seed=abc",          // not an integer
-		"bogus=1",           // unknown key
-		"err",               // not key=value
-		"err=0.6,reset=0.6", // terminal kinds sum > 1
-		"err=0.5,throttle=0.6",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec feeds arbitrary operator strings to ParseSpec: it never
+// panics, and a spec it accepts has every probability in [0,1] and
+// 0 <= LatMin <= LatMax.
+func FuzzParseSpec(f *testing.F) {
+	f.Add("")
+	f.Add("lat=10ms")
+	f.Add("err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42")
+	for _, s := range badSpecs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		for _, p := range []float64{spec.Err, spec.Throttle, spec.Reset, spec.Trunc} {
+			if !(p >= 0 && p <= 1) {
+				t.Fatalf("ParseSpec(%q) accepted probability %v outside [0,1]", s, p)
+			}
+		}
+		if spec.LatMin < 0 || spec.LatMax < spec.LatMin {
+			t.Fatalf("ParseSpec(%q) accepted latency range [%v, %v]", s, spec.LatMin, spec.LatMax)
+		}
+	})
 }
 
 func TestPlanDeterministicPerSeed(t *testing.T) {

@@ -20,28 +20,54 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	}
 }
 
+// badTraceParents are header values the parser must reject.
+var badTraceParents = []string{
+	"",
+	"00-short-span-01",
+	"00-00000000000000000000000000000000-0000000000000000-01", // all-zero IDs
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
+	"00-4bf92f3577b34da6a3ce929d0e0e473Z-00f067aa0ba902b7-01",
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // non-hex version
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // forbidden version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-zz", // non-hex flags
+}
+
+// Future versions and trailing vendor fields must still parse.
+var futureTraceParents = []string{
+	"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+}
+
 func TestParseTraceParentRejects(t *testing.T) {
-	bad := []string{
-		"",
-		"00-short-span-01",
-		"00-00000000000000000000000000000000-0000000000000000-01", // all-zero IDs
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",
-		"00-4bf92f3577b34da6a3ce929d0e0e473Z-00f067aa0ba902b7-01",
-	}
-	for _, v := range bad {
+	for _, v := range badTraceParents {
 		if _, ok := ParseTraceParent(v); ok {
 			t.Fatalf("ParseTraceParent(%q) accepted", v)
 		}
 	}
-	// Future versions and trailing vendor fields must still parse.
-	for _, v := range []string{
-		"cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
-	} {
+	for _, v := range futureTraceParents {
 		if _, ok := ParseTraceParent(v); !ok {
 			t.Fatalf("ParseTraceParent(%q) rejected", v)
 		}
 	}
+}
+
+// FuzzParseTraceParent feeds arbitrary header values to the parser: it
+// never panics, and a context it accepts renders to a header that
+// parses back to the same context.
+func FuzzParseTraceParent(f *testing.F) {
+	for _, v := range append(append([]string{}, badTraceParents...), futureTraceParents...) {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceParent(v)
+		if !ok {
+			return
+		}
+		back, ok := ParseTraceParent(sc.TraceParent())
+		if !ok || back != sc {
+			t.Fatalf("ParseTraceParent(%q) = %+v, but its rendering %q parses to %+v, %v", v, sc, sc.TraceParent(), back, ok)
+		}
+	})
 }
 
 func TestRecorderSpanTree(t *testing.T) {

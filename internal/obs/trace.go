@@ -73,15 +73,23 @@ func (sc SpanContext) TraceParent() string {
 	return string(buf)
 }
 
-// ParseTraceParent parses a W3C traceparent header value. It accepts
-// any version byte and ignores the flags, per the spec's
-// forward-compatibility rules, but rejects malformed or all-zero IDs.
+// ParseTraceParent parses a W3C traceparent header value. Per the
+// spec's forward-compatibility rules it accepts any hex version except
+// the forbidden ff, and any hex flags. It rejects a non-hex version or
+// flags field and malformed or all-zero IDs.
 func ParseTraceParent(v string) (SpanContext, bool) {
 	var sc SpanContext
 	if len(v) < 55 || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return sc, false
 	}
 	if len(v) > 55 && v[55] != '-' {
+		return sc, false
+	}
+	var version, flags [1]byte
+	if _, err := hex.Decode(version[:], []byte(v[0:2])); err != nil || version[0] == 0xff {
+		return sc, false
+	}
+	if _, err := hex.Decode(flags[:], []byte(v[53:55])); err != nil {
 		return sc, false
 	}
 	if _, err := hex.Decode(sc.Trace[:], []byte(v[3:35])); err != nil {
