@@ -362,11 +362,6 @@ type CPU struct {
 	flushScratch []*dynInst // reused by flushPipeline
 	flushEpoch   uint64     // bumped per flush; guards in-progress ROB walks
 
-	// nextScratch receives Stream.Next output. A local would escape to
-	// the heap through the interface call — one boxed isa.Inst per
-	// fetched instruction; a field costs nothing.
-	nextScratch isa.Inst
-
 	// active is the age-ordered subset of the ROB that still needs
 	// per-cycle attention (dispatched, executing, or waiting on the
 	// memory system). Instructions leave it when they reach stDone, so
@@ -447,19 +442,18 @@ func (c *CPU) Meter() *energy.Meter { return c.meter }
 // Cycle returns the current cycle (for tests).
 func (c *CPU) Cycle() uint64 { return c.cycle }
 
-// allocInst hands out a dynInst for in, recycling a committed one when
+// allocInst hands out a reset dynInst, recycling a committed one when
 // available.
 //
 //samie:hotpath
-func (c *CPU) allocInst(in isa.Inst) *dynInst {
+func (c *CPU) allocInst() *dynInst {
 	if n := len(c.freeInsts); n > 0 {
 		d := c.freeInsts[n-1]
 		c.freeInsts = c.freeInsts[:n-1]
-		gen := d.gen
-		*d = dynInst{in: in, gen: gen, mem: in.Cls.IsMem(), fp: in.Cls.IsFP()}
+		*d = dynInst{gen: d.gen}
 		return d
 	}
-	return &dynInst{in: in, mem: in.Cls.IsMem(), fp: in.Cls.IsFP()}
+	return &dynInst{}
 }
 
 // recycleInst returns a committed instruction to the arena. The
@@ -577,7 +571,9 @@ func (c *CPU) commit(dports *int) {
 			*dports--
 			c.performStoreCommit(d)
 		}
-		c.model.Commit(d.in.Seq)
+		if d.isMem() {
+			c.model.Commit(d.in.Seq)
+		}
 		d.state = stCommitted
 		c.rob.popFront()
 		c.recycleInst(d)
@@ -1228,7 +1224,8 @@ func (c *CPU) fetch() {
 }
 
 // nextInst pulls the next instruction, preferring flushed instructions
-// awaiting replay.
+// awaiting replay. The stream writes straight into the recycled
+// dynInst.
 func (c *CPU) nextInst() *dynInst {
 	if c.replayQ.len() > 0 {
 		return c.replayQ.popFront()
@@ -1236,9 +1233,11 @@ func (c *CPU) nextInst() *dynInst {
 	if c.streamDone {
 		return nil
 	}
-	if !c.strm.Next(&c.nextScratch) {
+	d := c.allocInst()
+	if !c.strm.Next(&d.in) {
 		c.streamDone = true
 		return nil
 	}
-	return c.allocInst(c.nextScratch)
+	d.mem, d.fp = d.in.Cls.IsMem(), d.in.Cls.IsFP()
+	return d
 }

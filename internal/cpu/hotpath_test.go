@@ -28,7 +28,8 @@ func steadyAllocs(t *testing.T, model lsq.Model, bench string) float64 {
 // per-instruction path — see docs/performance.md. The pointer-chaser
 // personality additionally pins the wakeup scheduler's structures
 // (waiter lists, timing wheel, wait bitmaps) under the long
-// dependence chains they exist for.
+// dependence chains they exist for; store-burst pins the store path
+// (placement buffers, flushes and the tracker's store index).
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	models := map[string]func() lsq.Model{
 		"conventional": func() lsq.Model { return lsq.NewConventional(128, nil) },
@@ -36,7 +37,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		"arb":          func() lsq.Model { return lsq.NewARB(8, 16, 128) },
 		"samie":        func() lsq.Model { return core.NewPaper(nil) },
 	}
-	for _, bench := range []string{"gzip", "pointer-chaser"} {
+	for _, bench := range []string{"gzip", "pointer-chaser", "store-burst"} {
 		for name, mk := range models {
 			t.Run(bench+"/"+name, func(t *testing.T) {
 				if n := steadyAllocs(t, mk(), bench); n > 0 {

@@ -117,3 +117,28 @@ func BenchmarkHotPathForwardingSource(b *testing.B) {
 		tr.ForwardingSource(63)
 	}
 }
+
+// BenchmarkHotPathForwardingSourceCold measures first probes: each
+// iteration re-addresses one load of a 128-op window (one op in three
+// a store), which drops its memo, so ForwardingSource walks the store
+// index. Half of the loads match a store 64 ops back; the rest scan
+// every older store and find none.
+func BenchmarkHotPathForwardingSourceCold(b *testing.B) {
+	tr := NewTracker()
+	var loads []*Op
+	for i := 0; i < 128; i++ {
+		op := tr.Add(uint64(i), i%3 != 0)
+		tr.SetPlaced(op)
+		tr.SetAddress(op, 0x1000+uint64(i%64)*8, 8)
+		if op.IsLoad {
+			loads = append(loads, op)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := loads[i%len(loads)]
+		tr.SetAddress(op, op.Addr, op.Size)
+		tr.ForwardingSource(op.Seq)
+	}
+}

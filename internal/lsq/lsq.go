@@ -4,7 +4,8 @@
 // Sohi (§2, evaluated in Figure 1). The SAMIE-LSQ itself lives in
 // package core and implements the same Model interface.
 //
-// Protocol between the CPU and a Model, per memory instruction:
+// Protocol between the CPU and a Model, per memory instruction (the
+// per-seq calls, Commit included, never name a non-memory one):
 //
 //	Dispatch(seq, isLoad)        at rename; false stalls dispatch
 //	AddressReady(seq, ...)       when the effective address is computed
@@ -71,7 +72,8 @@ type Model interface {
 	// ClearCachedLocations invalidates all cached line locations
 	// (presentBit flush, §3.4).
 	ClearCachedLocations()
-	// Commit retires the instruction, in order.
+	// Commit retires the memory instruction, in order. The CPU calls
+	// it only for memory instructions.
 	Commit(seq uint64)
 	// Flush drops every non-committed instruction.
 	Flush()
@@ -108,8 +110,9 @@ type Op struct {
 	// Loc holds model-defined placement indices.
 	Loc [4]int
 
-	slot    int  // physical ring slot (tracker internal)
-	counted bool // contributes to the known+placed summary trees
+	slot    int    // physical ring slot (tracker internal)
+	counted bool   // contributes to the known+placed summary trees
+	sord    uint64 // store ordinal: a store's own, a load's next (tracker internal)
 
 	// Memoized forwarding-source answer (tracker internal): valid
 	// while fwdEpoch == tracker.storeEpoch+1.
@@ -166,7 +169,8 @@ func (f *fenwick) prefix(i int) int {
 // It is shared by all LSQ models (including the SAMIE-LSQ in package
 // core). Storage is an age-ordered ring with a free list of Op
 // records, so steady-state tracking allocates nothing; lookups are
-// O(log n) binary searches over the seq-sorted ring.
+// O(1) through the seqHint table (a binary search over the seq-sorted
+// ring only backs up a hint collision).
 type Tracker struct {
 	ops  []*Op // ring storage; an op's physical slot is stable for its lifetime
 	head int
@@ -187,11 +191,26 @@ type Tracker struct {
 	storeEpoch uint64
 	candLog    [candWindow]uint64
 
+	// Store index: one entry per tracked store, in age order, at
+	// sring[ordinal & (len-1)]. It holds the ordinals [sHead, sTail);
+	// every op records the ordinal of its first not-older store (sord),
+	// so a load's first forwarding probe walks only the stores older
+	// than it, youngest first, in contiguous memory.
+	sring        []storeEntry
+	sHead, sTail uint64
+
 	// seqHint is a direct-mapped pointer table indexed by seq&seqHintMask.
 	// In-flight sequence numbers span at most the ROB window, so for the
 	// simulator this turns Get into one array probe; arbitrary seq
 	// patterns (tests) fall back to the binary search on a miss.
 	seqHint [seqHintSize]*Op
+}
+
+// storeEntry is a store's forwarding-index record. hi is 0 unless the
+// store is a forwarding candidate (placed, address known); then
+// [lo, hi) are the bytes it writes.
+type storeEntry struct {
+	seq, lo, hi uint64
 }
 
 // candWindow bounds how many new-candidate events a forwarding memo
@@ -205,7 +224,7 @@ const (
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	t := &Tracker{ops: make([]*Op, 16)}
+	t := &Tracker{ops: make([]*Op, 16), sring: make([]storeEntry, 16)}
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
 	return t
@@ -244,6 +263,20 @@ func (t *Tracker) grow() {
 	}
 }
 
+// growStores doubles the store index, keeping each ordinal's entry at
+// its index under the new mask.
+func (t *Tracker) growStores() {
+	old := t.sring
+	nb := make([]storeEntry, 2*len(old))
+	for o := t.sHead; o < t.sTail; o++ {
+		nb[o&uint64(len(nb)-1)] = old[o&uint64(len(old)-1)]
+	}
+	t.sring = nb
+}
+
+// storeAt returns the store index entry for ordinal o.
+func (t *Tracker) storeAt(o uint64) *storeEntry { return &t.sring[o&uint64(len(t.sring)-1)] }
+
 // Add registers a new in-flight memory instruction. Sequence numbers
 // must be strictly increasing across Adds.
 //
@@ -259,7 +292,14 @@ func (t *Tracker) Add(seq uint64, isLoad bool) *Op {
 	} else {
 		op = &Op{}
 	}
-	*op = Op{Seq: seq, IsLoad: isLoad, Loc: [4]int{-1, -1, -1, -1}}
+	*op = Op{Seq: seq, IsLoad: isLoad, Loc: [4]int{-1, -1, -1, -1}, sord: t.sTail}
+	if !isLoad {
+		if t.sTail-t.sHead == uint64(len(t.sring)) {
+			t.growStores()
+		}
+		*t.storeAt(t.sTail) = storeEntry{seq: seq}
+		t.sTail++
+	}
 	slot := t.physical(t.n)
 	op.slot = slot
 	t.ops[slot] = op
@@ -301,15 +341,20 @@ func (t *Tracker) search(seq uint64) int {
 
 // IndexOf returns the position of seq in the ordered list, or -1.
 func (t *Tracker) IndexOf(seq uint64) int {
-	i := t.search(seq)
-	if i < t.n && t.opAt(i).Seq == seq {
-		return i
+	op := t.Get(seq)
+	if op == nil {
+		return -1
 	}
-	return -1
+	i := op.slot - t.head
+	if i < 0 {
+		i += len(t.ops)
+	}
+	return i
 }
 
-// recount moves op in or out of the known+placed summaries after a
-// state transition.
+// recount moves op in or out of the known+placed summaries and, for a
+// store, the forwarding candidates of the store index, after a state
+// transition.
 //
 //samie:hotpath
 func (t *Tracker) recount(op *Op) {
@@ -328,7 +373,10 @@ func (t *Tracker) recount(op *Op) {
 	} else {
 		t.stores.add(op.slot, delta)
 		t.nStores += int(delta)
+		e := t.storeAt(op.sord)
+		e.hi = 0
 		if want {
+			e.lo, e.hi = op.Addr, op.Addr+uint64(op.Size)
 			// A new forwarding candidate exists: log it so memoized
 			// forwarding answers can catch up incrementally.
 			t.candLog[t.storeEpoch%candWindow] = op.Seq
@@ -390,6 +438,10 @@ func (t *Tracker) Remove(seq uint64) *Op {
 		if t.seqHint[seq&seqHintMask] == front {
 			t.seqHint[seq&seqHintMask] = nil
 		}
+		if !front.IsLoad {
+			// Pop its index entry, with any tombstones older than it.
+			t.sHead = front.sord + 1
+		}
 		t.ops[t.head] = nil
 		t.head++
 		if t.head == len(t.ops) {
@@ -407,6 +459,15 @@ func (t *Tracker) Remove(seq uint64) *Op {
 		return nil
 	}
 	op := t.opAt(i)
+	if op.counted && !op.IsLoad {
+		// Tombstone its index entry until an in-order pop passes it. A
+		// memo may also name this store while an older candidate still
+		// overlaps its load, which the memo's retire check rules out
+		// only for in-order removal: age every memo past the repair
+		// window so its next probe rescans.
+		t.storeAt(op.sord).hi = 0
+		t.storeEpoch += candWindow + 1
+	}
 	t.uncount(op)
 	if t.seqHint[op.Seq&seqHintMask] == op {
 		t.seqHint[op.Seq&seqHintMask] = nil
@@ -452,6 +513,7 @@ func (t *Tracker) Clear() {
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
 	t.nStores, t.nLoads = 0, 0
+	t.sHead, t.sTail = 0, 0
 	t.storeEpoch++
 }
 
@@ -470,11 +532,12 @@ func (t *Tracker) olderCounted(f *fenwick, i int) int {
 	return f.prefix(len(t.ops)) - f.prefix(t.head) + f.prefix(end-len(t.ops))
 }
 
-// ForwardingSource scans older placed stores, youngest first, for a
-// byte overlap with the load identified by seq. Answers are memoized
-// per load and invalidated when a new forwarding candidate appears
-// (storeEpoch) or the memoized source retires, so the per-cycle retry
-// a waiting load performs is O(log n) instead of a rescan.
+// ForwardingSource scans the store index from the load's youngest older
+// store back to the oldest, for a candidate whose bytes overlap the
+// load identified by seq. Answers are memoized per load and
+// invalidated when a new forwarding candidate appears (storeEpoch) or
+// the memoized source retires, so the per-cycle retry a waiting load
+// performs costs O(new candidates) instead of a rescan.
 //
 //samie:hotpath
 func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
@@ -512,15 +575,15 @@ func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 	}
 	op.fwdEpoch = t.storeEpoch + 1
 	op.fwdOK = false
-	if t.nStores == 0 {
+	if t.nStores == 0 || !op.AddrKnown {
 		return 0, false
 	}
-	i := t.search(seq) // == IndexOf(seq): op was found by Get above
-	for j := i - 1; j >= 0; j-- {
-		o := t.opAt(j)
-		if !o.IsLoad && o.Placed && o.Overlaps(op) {
-			op.fwdSrc, op.fwdOK = o.Seq, true
-			return o.Seq, true
+	lo, hi := op.Addr, op.Addr+uint64(op.Size)
+	for o := op.sord; o > t.sHead; {
+		o--
+		if e := t.storeAt(o); e.lo < hi && lo < e.hi {
+			op.fwdSrc, op.fwdOK = e.seq, true
+			return e.seq, true
 		}
 	}
 	return 0, false
