@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"samielsq/internal/energy"
 )
 
 // cacheTestSpec is a tiny simulation so the cache tests stay fast.
@@ -146,7 +149,7 @@ func specFor(bench string) RunSpec {
 	return s
 }
 
-func TestDiskCacheIndexAndPreload(t *testing.T) {
+func TestDiskCachePreload(t *testing.T) {
 	dir := t.TempDir()
 	b1, err := NewBatchWithCache(1, dir)
 	if err != nil {
@@ -156,17 +159,29 @@ func TestDiskCacheIndexAndPreload(t *testing.T) {
 	for _, bench := range []string{"gzip", "swim"} {
 		want[bench] = b1.Run(specFor(bench))
 	}
-	if keys := b1.Disk().Keys(); len(keys) != 2 {
-		t.Fatalf("index holds %d keys after 2 stores, want 2", len(keys))
-	}
-	// Index rewrites are debounced; Close forces the flush so a fresh
-	// process adopting the directory sees both keys.
-	if err := b1.Close(); err != nil {
+
+	// Junk beside the two valid artifacts must be skipped: a corrupt
+	// body, a valid artifact under a name that is not its key's path,
+	// and an artifact from another simulator build.
+	if err := os.WriteFile(filepath.Join(dir, "run-zz.json"), []byte("{bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	valid, err := os.ReadFile(b1.Disk().path(Key(specFor("gzip"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "run-copy.json"), valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var art diskArtifact
+	if err := json.Unmarshal(valid, &art); err != nil {
+		t.Fatal(err)
+	}
+	art.Key, art.Sim = Key(specFor("mcf")), "other-build"
+	writeArtifact(t, b1.Disk().path(art.Key), art)
 
-	// A fresh batch over the same directory preloads the whole suite
-	// from the index: both specs then serve from memory with zero
+	// A fresh batch over the same directory preloads both valid
+	// artifacts: both specs then serve from memory with zero
 	// simulations and zero disk traffic.
 	b2, err := NewBatchWithCache(2, dir)
 	if err != nil {
@@ -202,37 +217,93 @@ func TestDiskCacheIndexAndPreload(t *testing.T) {
 	}
 }
 
-func TestDiskCacheRebuildIndex(t *testing.T) {
+// TestDiskCacheSharedDirPreload pins what a reader of a shared cache
+// directory enumerates: every writer's artifacts, whichever process
+// wrote last. Both writers open the directory before either stores,
+// as two replicas booted on one -cachedir do.
+func TestDiskCacheSharedDirPreload(t *testing.T) {
 	dir := t.TempDir()
-	b, err := NewBatchWithCache(1, dir)
+	var writers []*Batch
+	for range 2 {
+		w, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		writers = append(writers, w)
+	}
+	writers[0].Run(specFor("gzip"))
+	writers[1].Run(specFor("swim"))
+	r, err := NewBatchWithCache(1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Run(specFor("gzip"))
-	b.Run(specFor("mcf"))
-	b.Disk().FlushIndex()
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-		t.Fatal(err)
+	if n, err := r.PreloadDisk(); err != nil || n != 2 {
+		t.Fatalf("PreloadDisk after two writers = %d, %v; want 2, nil", n, err)
 	}
+}
 
-	// Without an index a fresh cache enumerates nothing...
-	d, err := NewDiskCache(dir)
+// FuzzDiskArtifact writes arbitrary bytes to one key's artifact path:
+// load never panics and serves a result exactly when the body passes
+// validArtifact for that key, and PreloadDisk installs at most that
+// one result.
+func FuzzDiskArtifact(f *testing.F) {
+	key := Key(cacheTestSpec())
+	seed := func(mutate func(*diskArtifact)) []byte {
+		art := diskArtifact{
+			Version: diskCacheVersion, Sim: simStamp(), Key: key,
+			Spec: Normalize(cacheTestSpec()), Meter: &energy.Meter{},
+		}
+		mutate(&art)
+		data, err := json.Marshal(art)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	valid := seed(func(*diskArtifact) {})
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(seed(func(a *diskArtifact) { a.Key = Key(specFor("swim")) }))
+	f.Add(seed(func(a *diskArtifact) { a.Sim = "other-build" }))
+	f.Add(seed(func(a *diskArtifact) { a.Meter = nil }))
+	f.Add([]byte("{bad"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		d, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(d.path(key), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var art diskArtifact
+		want := json.Unmarshal(body, &art) == nil && validArtifact(&art, key)
+		if _, ok := d.load(key); ok != want {
+			t.Fatalf("load ok = %v, want %v for body %q", ok, want, body)
+		}
+		b, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := b.PreloadDisk()
+		if err != nil || n > 1 || (n == 1) != want {
+			t.Fatalf("PreloadDisk = %d, %v; want %v installs of the one artifact", n, err, want)
+		}
+		if b.DistinctRuns() != n {
+			t.Fatalf("batch holds %d results after preloading %d", b.DistinctRuns(), n)
+		}
+	})
+}
+
+// writeArtifact persists art at path, bypassing DiskCache.store.
+func writeArtifact(t testing.TB, path string, art diskArtifact) {
+	t.Helper()
+	data, err := json.Marshal(art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if keys := d.Keys(); len(keys) != 0 {
-		t.Fatalf("lost index still enumerates %d keys", len(keys))
-	}
-	// ...and RebuildIndex recovers every valid artifact, skipping junk.
-	if err := os.WriteFile(filepath.Join(dir, "run-zz.json"), []byte("{bad"), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	n, err := d.RebuildIndex()
-	if err != nil || n != 2 {
-		t.Fatalf("RebuildIndex = %d, %v; want 2, nil", n, err)
-	}
-	if keys := d.Keys(); len(keys) != 2 {
-		t.Fatalf("rebuilt index holds %d keys, want 2", len(keys))
 	}
 }
 
@@ -273,8 +344,12 @@ func TestDiskCachePruneBySize(t *testing.T) {
 	if got := artifactFiles(t, dir); len(got) != 1 {
 		t.Fatalf("%d artifacts survive, want 1", len(got))
 	}
-	if keys := b.Disk().Keys(); len(keys) != 1 {
-		t.Fatalf("index holds %d keys after prune, want 1", len(keys))
+	fresh, err := NewBatchWithCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := fresh.PreloadDisk(); err != nil || n != 1 {
+		t.Fatalf("PreloadDisk after prune = %d, %v; want 1, nil", n, err)
 	}
 }
 
@@ -315,78 +390,6 @@ func TestDiskCachePruneByAge(t *testing.T) {
 	nb.Run(specFor("swim"))
 	if st := nb.DiskStats(); st.Hits != 1 {
 		t.Fatalf("surviving artifact no longer serves: %+v", st)
-	}
-}
-
-func TestDiskCacheDebouncedIndexFlush(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewBatchWithCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := b.Disk()
-	// Lengthen the debounce so the window is observable: the store must
-	// NOT rewrite index.json synchronously.
-	d.flushDelay = time.Hour
-	b.Run(specFor("gzip"))
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); !os.IsNotExist(err) {
-		t.Fatalf("index.json written synchronously by store (err=%v); flush should be debounced", err)
-	}
-	// The in-memory index already enumerates the key regardless.
-	if keys := d.Keys(); len(keys) != 1 {
-		t.Fatalf("in-memory index holds %d keys, want 1", len(keys))
-	}
-	// A second store inside the pending window does not re-arm the
-	// timer: one flush covers the burst.
-	b.Run(specFor("swim"))
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); !os.IsNotExist(err) {
-		t.Fatalf("burst store flushed early (err=%v)", err)
-	}
-
-	// With a short debounce the flush arrives without any forced call,
-	// carrying every store of the burst.
-	dirShort := t.TempDir()
-	bs, err := NewBatchWithCache(1, dirShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs.Disk().flushDelay = 10 * time.Millisecond
-	bs.Run(specFor("gzip"))
-	bs.Run(specFor("swim"))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nd, err := NewDiskCache(dirShort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keys := nd.Keys(); len(keys) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("debounced flush never wrote a complete index.json")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Close on a dirty cache flushes immediately, and is idempotent.
-	dir2 := t.TempDir()
-	b2, err := NewBatchWithCache(1, dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2.Disk().flushDelay = time.Hour
-	b2.Run(specFor("gzip"))
-	if _, err := os.Stat(filepath.Join(dir2, indexFile)); !os.IsNotExist(err) {
-		t.Fatal("index.json present before Close despite hour-long debounce")
-	}
-	if err := b2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, indexFile)); err != nil {
-		t.Fatalf("Close did not flush the index: %v", err)
 	}
 }
 
@@ -438,7 +441,6 @@ func TestDiskCacheArtifactsWorldReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Run(cacheTestSpec())
-	b.Disk().FlushIndex()
 
 	// CreateTemp makes 0600 temp files; the rename must publish 0644 —
 	// a sibling process under another uid sharing the cache directory
@@ -447,7 +449,7 @@ func TestDiskCacheArtifactsWorldReadable(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("expected one artifact, got %v", files)
 	}
-	for _, f := range append(files, filepath.Join(dir, indexFile)) {
+	for _, f := range files {
 		st, err := os.Stat(f)
 		if err != nil {
 			t.Fatal(err)

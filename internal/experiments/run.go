@@ -403,37 +403,23 @@ func (b *Batch) jobFor(ctx context.Context, n RunSpec, key string) func() RunRes
 // Disk returns the attached disk cache, or nil.
 func (b *Batch) Disk() *DiskCache { return b.disk }
 
-// Close flushes the attached disk cache's debounced index (if any).
-// Call it when a batch that persisted results is done — CLI exit,
-// server drain — so sibling processes adopting the cache directory
-// enumerate every artifact this batch wrote.
-func (b *Batch) Close() error {
-	if b.disk != nil {
-		return b.disk.Close()
-	}
-	return nil
-}
-
-// PreloadDisk installs every indexed on-disk artifact into the batch's
-// in-memory run cache, so a long-lived batch (a service) starts warm
-// without re-reading artifacts on first request. Returns how many
-// results were installed. Preloading counts toward neither the engine
-// request stats nor the disk traffic counters.
+// PreloadDisk installs every valid artifact in the cache directory into
+// the batch's in-memory run cache, so a long-lived batch (a service)
+// starts warm without re-reading artifacts on first request. It scans
+// the directory, so it sees the artifacts of every process sharing it.
+// Returns how many results were installed. Preloading counts toward
+// neither the engine request stats nor the disk traffic counters.
 func (b *Batch) PreloadDisk() (int, error) {
 	if b.disk == nil {
 		return 0, fmt.Errorf("experiments: batch has no disk cache to preload from")
 	}
 	n := 0
-	for _, key := range b.disk.Keys() {
-		r, ok := b.disk.read(key)
-		if !ok {
-			continue
-		}
+	err := b.disk.scan(func(key string, r RunResult) {
 		if b.sched.Offer(key, r) {
 			n++
 		}
-	}
-	return n, nil
+	})
+	return n, err
 }
 
 // DiskStats reports the attached disk cache's traffic; the zero value

@@ -582,9 +582,6 @@ func TestRunProbeServesFromDisk(t *testing.T) {
 	}
 	spec := experiments.RunSpec{Benchmark: "gzip", Insts: testInsts, Model: experiments.ModelConventional}
 	want := warm.Run(spec)
-	if err := warm.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// A fresh server process over the same directory probes positive
 	// without ever simulating: the artifact on disk is the answer.

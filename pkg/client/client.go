@@ -215,23 +215,25 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 		return SuiteResponse{}, err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return decodeSuiteStream(resp.Body, onEvent)
+}
+
+// decodeSuiteStream reassembles a streamed POST /v1/suite body,
+// handing every event to onEvent as it arrives. The response collects
+// the runs of "run" events that carry one; the stream must end with a
+// "result" event, and an "error" event aborts it.
+func decodeSuiteStream(r io.Reader, onEvent func(SuiteEvent)) (SuiteResponse, error) {
 	var out SuiteResponse
 	sawResult := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := readNDJSON(r, "stream", func(line []byte) error {
 		var ev SuiteEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return SuiteResponse{}, fmt.Errorf("client: bad stream line %q: %w", line, err)
+			return fmt.Errorf("client: bad stream line %q: %w", line, err)
 		}
 		onEvent(ev)
 		switch ev.Type {
 		case "error":
-			return SuiteResponse{}, fmt.Errorf("server: %s", ev.Error)
+			return fmt.Errorf("server: %s", ev.Error)
 		case "run":
 			if ev.Run != nil {
 				out.Runs = append(out.Runs, *ev.Run)
@@ -240,14 +242,38 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 			out.Total = ev.Total
 			sawResult = true
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return SuiteResponse{}, fmt.Errorf("client: reading stream: %w", err)
+		return nil
+	})
+	if err != nil {
+		return SuiteResponse{}, err
 	}
 	if !sawResult {
 		return SuiteResponse{}, fmt.Errorf("client: stream ended without a result event")
 	}
 	return out, nil
+}
+
+// readNDJSON calls fn with every non-blank line of an NDJSON body,
+// trimmed of surrounding space, until fn returns an error (which
+// readNDJSON returns) or the body ends. A read failure — a severed
+// stream, a line over 16 MiB — is reported as "client: reading
+// <what>".
+func readNDJSON(r io.Reader, what string, fn func(line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if err := fn(line); err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("client: reading %s: %w", what, err)
+	}
+	return nil
 }
 
 // Figure regenerates one paper figure ("1", "3", "4", "56" or
@@ -293,32 +319,27 @@ func (c *Client) RunScenario(ctx context.Context, name string, req ScenarioRunRe
 		return ScenarioRunResponse{}, err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var final ScenarioRunResponse
 	sawResult := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err = readNDJSON(resp.Body, "stream", func(line []byte) error {
 		var ev ScenarioEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return ScenarioRunResponse{}, fmt.Errorf("client: bad stream line %q: %w", line, err)
+			return fmt.Errorf("client: bad stream line %q: %w", line, err)
 		}
 		onEvent(ev)
 		switch ev.Type {
 		case "error":
-			return ScenarioRunResponse{}, fmt.Errorf("server: %s", ev.Error)
+			return fmt.Errorf("server: %s", ev.Error)
 		case "result":
 			if ev.Result != nil {
 				final = ScenarioRunResponse{Result: *ev.Result, Text: ev.Text}
 				sawResult = true
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return ScenarioRunResponse{}, fmt.Errorf("client: reading stream: %w", err)
+		return nil
+	})
+	if err != nil {
+		return ScenarioRunResponse{}, err
 	}
 	if !sawResult {
 		return ScenarioRunResponse{}, fmt.Errorf("client: stream ended without a result event")
@@ -408,14 +429,8 @@ func (c *Client) Timeline(ctx context.Context, key string) (obs.Timeline, bool, 
 	}
 	defer resp.Body.Close()
 	var t obs.Timeline
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err = readNDJSON(resp.Body, "timeline", func(line []byte) error {
 		if first {
 			// Leading meta line: {"key":..., "stride":..., "samples":...}.
 			first = false
@@ -423,19 +438,20 @@ func (c *Client) Timeline(ctx context.Context, key string) (obs.Timeline, bool, 
 				Stride uint64 `json:"stride"`
 			}
 			if err := json.Unmarshal(line, &meta); err != nil {
-				return obs.Timeline{}, false, fmt.Errorf("client: bad timeline meta %q: %w", line, err)
+				return fmt.Errorf("client: bad timeline meta %q: %w", line, err)
 			}
 			t.Stride = meta.Stride
-			continue
+			return nil
 		}
 		var ts obs.TimelineSample
 		if err := json.Unmarshal(line, &ts); err != nil {
-			return obs.Timeline{}, false, fmt.Errorf("client: bad timeline line %q: %w", line, err)
+			return fmt.Errorf("client: bad timeline line %q: %w", line, err)
 		}
 		t.Samples = append(t.Samples, ts)
-	}
-	if err := sc.Err(); err != nil {
-		return obs.Timeline{}, false, fmt.Errorf("client: reading timeline: %w", err)
+		return nil
+	})
+	if err != nil {
+		return obs.Timeline{}, false, err
 	}
 	return t, true, nil
 }

@@ -176,9 +176,6 @@ func TestColdReplicaWarmsFromPeer(t *testing.T) {
 	}
 	// The artifact landed on disk: a fresh batch serves it without the
 	// peer.
-	if err := cold.Close(); err != nil {
-		t.Fatal(err)
-	}
 	reopened, err := experiments.NewBatchWithCache(1, dir)
 	if err != nil {
 		t.Fatal(err)
